@@ -151,10 +151,11 @@ ClientSession::Wait ClientSession::await_reply(std::int64_t id, std::int64_t dea
       return Wait::kGot;
     }
     if (parser_.failed()) return Wait::kConnLost;
-    const std::int64_t remaining_ms = (deadline - now_us()) / 1000;
-    if (remaining_ms <= 0) return Wait::kTimeout;
+    const std::int64_t remaining_us = deadline - now_us();
+    if (remaining_us <= 0) return Wait::kTimeout;
     pollfd pfd{fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, static_cast<int>(remaining_ms));
+    // Round up: truncating would give up to 1 ms before the deadline.
+    const int ready = ::poll(&pfd, 1, static_cast<int>((remaining_us + 999) / 1000));
     if (ready < 0 && errno == EINTR) continue;
     if (ready == 0) return Wait::kTimeout;
     if (ready < 0) return Wait::kConnLost;

@@ -258,7 +258,10 @@ class LocalCluster {
       }
       if (full) return true;
       if (std::chrono::steady_clock::now() >= deadline) return false;
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      // A restarted replica's mesh re-forms in well under a millisecond
+      // (peers redial on its Hello), so poll finely: a coarse sleep here
+      // would dominate every caller's wait.
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
   }
 

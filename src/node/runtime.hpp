@@ -229,7 +229,8 @@ class Runtime {
         .poll_us = &metrics_.log_histogram("loop.poll_us"),
         .work_us = &metrics_.log_histogram("loop.work_us"),
         .timer_depth = &metrics_.log_histogram("loop.timer_depth"),
-        .posted_depth = &metrics_.log_histogram("loop.posted_depth")});
+        .posted_depth = &metrics_.log_histogram("loop.posted_depth"),
+        .timer_late_us = &metrics_.log_histogram("loop.timer_late_us")});
     flight_ = options_.flight;
     proc_ = factory(env_, metrics_);
     wire_callbacks();
@@ -995,6 +996,13 @@ class Runtime {
         }
         inbound_peer_[conn.get()] = *peer;
         refresh_inbound_count();
+        // The peer just dialled us, so it is reachable: if our link to it
+        // is sleeping in backoff (it went down with the peer), dial now.
+        // The link's on_connected hook then heals it — snapshot offer plus
+        // Decide resend — within a round trip instead of up to a full
+        // backoff interval later.
+        const auto idx = static_cast<std::size_t>(*peer);
+        if (idx < links_.size() && links_[idx]) links_[idx]->redial_now();
         return;
       }
       case transport::FrameKind::kHeartbeat: {
@@ -1249,10 +1257,16 @@ class Runtime {
   /// and a non-leader's ballot timers cannot recover a slot whose leader
   /// already decided), so resend everything we know to be decided.  Pure
   /// retransmission of existing protocol messages — receivers that already
-  /// decided ignore them.  Runs on the loop thread.
-  void resend_decided_to(consensus::ProcessId peer) {
+  /// decided ignore them.  Runs on the loop thread.  `from_slot`
+  /// (slot-log protocols only) skips the slots the peer has applied; the
+  /// reconnect path does not know the peer's prefix and resends them all.
+  void resend_decided_to(consensus::ProcessId peer, std::int32_t from_slot = 0) {
     if constexpr (HasDecideResend<P>) {
-      const auto msgs = proc_->decide_messages();
+      std::vector<Message> msgs;
+      if constexpr (requires { proc_->decide_messages(from_slot); })
+        msgs = proc_->decide_messages(from_slot);
+      else
+        msgs = proc_->decide_messages();
       for (const auto& m : msgs) send_msg(peer, m);
       if (!msgs.empty()) metrics_.counter("node.decide_resent").add(msgs.size());
     }
@@ -1297,7 +1311,10 @@ class Runtime {
     if constexpr (kHasAppliedPrefix) {
       if (peer_applied >= static_cast<std::int64_t>(proc_->applied_prefix())) return;
       offer_snapshot_to(from);  // heals a laggard below our compaction floor
-      resend_decided_to(from);  // heals the tail above it
+      // Heals the tail above it.  peer_applied is below our applied prefix
+      // (an int32 slot), so the narrowing is exact.
+      const auto peer_prefix = static_cast<std::int32_t>(std::max<std::int64_t>(peer_applied, 0));
+      resend_decided_to(from, peer_prefix);
       metrics_.counter("node.catchup_served").add();
     }
   }
@@ -1623,6 +1640,7 @@ class Runtime {
     metrics_.counter("transport.reconnects").add(stats_.reconnects.load());
     metrics_.counter("transport.frames_dropped").add(stats_.frames_dropped.load());
     metrics_.counter("transport.connect_timeouts").add(stats_.connect_timeouts.load());
+    metrics_.counter("transport.redials").add(stats_.redials.load());
     metrics_.counter("transport.chaos_dropped").add(stats_.chaos_dropped.load());
     metrics_.counter("transport.chaos_duplicated").add(stats_.chaos_duplicated.load());
     metrics_.counter("transport.chaos_delayed").add(stats_.chaos_delayed.load());

@@ -311,8 +311,10 @@ class RsmProcess {
   /// queue is bounded, so a replica that was down through many decisions
   /// needs this anti-entropy pass to fill its log gaps (its own ballot
   /// timers cannot: only the Ω leader starts ballots, and a decided leader
-  /// has nothing left to run).
-  [[nodiscard]] std::vector<Message> decide_messages() const;
+  /// has nothing left to run).  `from_slot` skips every slot below it (and
+  /// contents decided only there): a peer that reported its applied prefix
+  /// already holds those.
+  [[nodiscard]] std::vector<Message> decide_messages(std::int32_t from_slot = 0) const;
 
   // --- configuration ---
 

@@ -118,12 +118,13 @@ void EventLoop::run_posted() {
 void EventLoop::fire_due_timers() {
   const std::int64_t now = now_us();
   while (!timer_heap_.empty() && timer_heap_.top().deadline_us <= now) {
-    const std::uint64_t id = timer_heap_.top().id;
+    const TimerEntry due = timer_heap_.top();
     timer_heap_.pop();
-    const auto it = timers_.find(id);
+    const auto it = timers_.find(due.id);
     if (it == timers_.end()) continue;  // cancelled
     Task fn = std::move(it->second);
     timers_.erase(it);
+    if (probe_.timer_late_us) probe_.timer_late_us->record(now_us() - due.deadline_us);
     fn();
   }
 }

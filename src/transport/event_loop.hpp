@@ -36,6 +36,10 @@ struct LoopProbe {
   obs::LogHistogram* work_us = nullptr;      ///< non-blocking dispatch time per wakeup
   obs::LogHistogram* timer_depth = nullptr;  ///< armed timers, sampled per iteration
   obs::LogHistogram* posted_depth = nullptr; ///< posted tasks drained per iteration
+  /// Per fired timer: fire time minus deadline.  The loop sleeps in whole
+  /// milliseconds (timeouts round up), so this shows what a sub-ms timer
+  /// really waits; one clock read per fired timer, none without the probe.
+  obs::LogHistogram* timer_late_us = nullptr;
 };
 
 class EventLoop {

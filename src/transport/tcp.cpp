@@ -339,6 +339,17 @@ void PeerLink::shutdown() {
   pending_.clear();
 }
 
+void PeerLink::redial_now() {
+  // A pending retry timer is exactly the backoff state: up, mid-dial and
+  // stopped links never hold one.
+  if (stopped_ || retry_timer_ == 0) return;
+  loop_.cancel_timer(retry_timer_);
+  retry_timer_ = 0;
+  backoff_us_ = kBackoffMinUs;
+  if (stats_) stats_->redials.fetch_add(1, std::memory_order_relaxed);
+  attempt_connect();
+}
+
 void PeerLink::attempt_connect() {
   if (stopped_) return;
   retry_timer_ = 0;

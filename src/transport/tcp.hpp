@@ -8,9 +8,11 @@
 //   - PeerLink: the replica-to-replica edge.  It owns the *outbound*
 //     connection to one peer, redialling forever with exponential backoff
 //     (10 ms doubling to 1 s) and queueing a bounded number of frames
-//     while disconnected.  Inbound connections from peers are accepted
-//     separately by the node runtime and used only for receiving, so each
-//     ordered stream has exactly one writer.
+//     while disconnected.  A backoff wait can be cut short with
+//     redial_now() — the runtime does so when the peer's own dial-in
+//     (its Hello) proves it is back.  Inbound connections from peers are
+//     accepted separately by the node runtime and used only for receiving,
+//     so each ordered stream has exactly one writer.
 //
 // Everything here is loop-thread-only except TransportStats, whose relaxed
 // atomics may be read from any thread (the CLI prints them live).
@@ -59,6 +61,7 @@ struct TransportStats {
   std::atomic<std::uint64_t> reconnects{0};
   std::atomic<std::uint64_t> frames_dropped{0};  ///< overflow of a disconnected PeerLink queue
   std::atomic<std::uint64_t> connect_timeouts{0};  ///< dial attempts cut off by the timer
+  std::atomic<std::uint64_t> redials{0};  ///< backoff waits cut short by redial_now()
   std::atomic<std::uint64_t> chaos_dropped{0};     ///< frames eaten by the ChaosInjector
   std::atomic<std::uint64_t> chaos_duplicated{0};  ///< extra copies it sent
   std::atomic<std::uint64_t> chaos_delayed{0};     ///< frames it parked on a timer
@@ -161,6 +164,14 @@ class PeerLink {
   /// With a ChaosInjector installed the frame may instead be dropped,
   /// duplicated, or parked on a timer before entering that pipeline.
   void send_frame(FrameKind kind, std::vector<std::uint8_t> payload);
+
+  /// Cuts a backoff wait short: cancels the pending retry timer, resets
+  /// the backoff to kBackoffMinUs and dials at once.  The caller knows the
+  /// peer is reachable again (its inbound Hello just arrived), so waiting
+  /// out a backoff grown during its outage buys nothing.  No-op when the
+  /// link is up, a dial is already in flight, or after shutdown() — so a
+  /// peer can trigger at most one dial per connection it makes to us.
+  void redial_now();
 
   /// Stops reconnecting and closes any live connection.
   void shutdown();

@@ -869,5 +869,52 @@ TEST(LiveCatchup, PeriodicGossipHealsAHolePunchedByFrameLoss) {
   cluster.stop();
 }
 
+TEST(LiveCatchup, AnswerResendsOnlyThePeersGap) {
+  // A catch-up answer knows how far the asker has applied, so it resends
+  // the Decides of the slots above that prefix — not every decided slot
+  // above the compaction floor, which on a busy cluster that never
+  // checkpoints is the whole log, once per gossip period.
+  const consensus::SystemConfig config(3, 1, 1);
+  node::ClusterOptions cluster_options;
+  cluster_options.anti_entropy_period_us = 0;  // only the hand-made frame below asks
+  node::LocalCluster<rsm::RsmProcess> cluster(config.n, rsm_factory(config), cluster_options);
+  ASSERT_TRUE(cluster.wait_for_mesh());
+  node::ClientSession client(cluster.endpoints()[0], nullptr);
+  ASSERT_TRUE(client.connect());
+  for (std::int64_t i = 0; i < 40; ++i) {
+    const auto reply = client.call(i);
+    ASSERT_TRUE(reply.has_value() && reply->ok) << "i=" << i;
+  }
+  const auto log = cluster.node(0).applied_log();
+  ASSERT_EQ(log.size(), 40u);
+  const std::int64_t prefix = log.back().first + 1;  // one command per slot, no holes
+  constexpr std::int64_t kGap = 7;
+
+  obs::MetricsRegistry& metrics = cluster.node(0).metrics();
+  const std::uint64_t resent_before = metrics.counter_value("node.decide_resent");
+  // Pose as replica 1 (Hello, then its applied-prefix gossip) reporting a
+  // prefix kGap slots short of replica 0's.
+  const transport::Endpoint& target = cluster.endpoints()[0];
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(target.port);
+  ASSERT_EQ(::inet_pton(AF_INET, target.host.c_str(), &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  std::vector<std::uint8_t> bytes =
+      transport::make_frame(transport::FrameKind::kHello, transport::encode_hello(1));
+  const auto catchup = transport::make_frame(transport::FrameKind::kCatchup,
+                                             codec::encode(codec::Catchup{1, prefix - kGap}));
+  bytes.insert(bytes.end(), catchup.begin(), catchup.end());
+  ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), 0), static_cast<ssize_t>(bytes.size()));
+
+  ASSERT_TRUE(eventually([&] { return metrics.counter_value("node.catchup_served") >= 1; }));
+  EXPECT_EQ(metrics.counter_value("node.decide_resent") - resent_before,
+            static_cast<std::uint64_t>(kGap));
+  ::close(fd);
+  cluster.stop();
+}
+
 }  // namespace
 }  // namespace twostep

@@ -458,6 +458,105 @@ TEST(LiveRecovery, WipedReplicaRejoinsViaSnapshotStateTransfer) {
   EXPECT_GT(merged.counter_value("transfer.chunks_sent"), 0u);
 }
 
+TEST(LiveRecovery, SurvivorsRedialARestartedReplicaOnItsHello) {
+  // The survivors' links to a dead replica back off (10 ms doubling to
+  // 1 s); after a 400 ms outage their next dial can be 300 ms away.  The
+  // restarted replica dials them at once, and its Hello must make them
+  // dial back at once too — their on_connected pass (snapshot offer +
+  // Decide resend) is what heals a wiped replica, so that wait would be
+  // the whole rejoin time.
+  const consensus::SystemConfig config(3, 1, 1);
+  TempDir tmp;
+  node::ClusterOptions cluster_options = storage_options(tmp);
+  cluster_options.storage.snapshot_every = 4;
+  node::LocalCluster<rsm::RsmProcess> cluster(
+      config.n,
+      [&](consensus::Env<rsm::Msg>& env, obs::MetricsRegistry& reg, consensus::ProcessId) {
+        return std::make_unique<rsm::RsmProcess>(env, config, rsm_options(reg));
+      },
+      cluster_options);
+  ASSERT_TRUE(cluster.wait_for_mesh());
+  node::ClientSession client(cluster.endpoints()[0], nullptr);
+  ASSERT_TRUE(client.connect());
+
+  std::int64_t c = 0;
+  for (; c < 20; ++c) ASSERT_TRUE(client.call(c).has_value());
+  const auto killed_at = std::chrono::steady_clock::now();
+  cluster.kill(2);
+  for (; c < 40; ++c) ASSERT_TRUE(client.call(c).has_value());
+  std::this_thread::sleep_until(killed_at + std::chrono::milliseconds(450));
+  std::error_code ec;
+  std::filesystem::remove_all(tmp.path() + "/r2", ec);
+  ASSERT_FALSE(ec);
+  const std::size_t target = cluster.node(0).applied_log().size();
+
+  cluster.restart(2);  // returns once its runtime is rebuilt and dialling
+  const auto restarted_at = std::chrono::steady_clock::now();
+  const auto since_restart = [&] {
+    return std::chrono::duration_cast<std::chrono::microseconds>(
+               std::chrono::steady_clock::now() - restarted_at)
+        .count();
+  };
+  while (cluster.node(0).connected_out() < 2 || cluster.node(1).connected_out() < 2) {
+    ASSERT_LT(since_restart(), 2'000'000) << "survivors never redialled the restarted replica";
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  const std::int64_t links_us = since_restart();
+  // The catch-up itself writes snapshots and WAL segments, so its time
+  // follows the disk; only its path (state transfer) is pinned here.
+  while (cluster.node(2).applied_log().size() < target) {
+    ASSERT_LT(since_restart(), 5'000'000) << "restarted replica never caught up";
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  // One Hello, at most one early dial per survivor.  (A survivor whose own
+  // retry fired between the restart and the Hello redials zero times.)
+  EXPECT_LE(cluster.node(0).stats().redials.load(), 1u);
+  EXPECT_LE(cluster.node(1).stats().redials.load(), 1u);
+  cluster.stop();
+
+  EXPECT_LT(links_us, 50'000) << "survivors waited out their reconnect backoff";
+  obs::MetricsRegistry merged = cluster.merged_metrics();
+  EXPECT_GE(merged.counter_value("transfer.installed"), 1u) << "rejoin bypassed state transfer";
+}
+
+TEST(LiveRecovery, RepeatedRestartsUnderABlackholeRedialOncePerPeerDial) {
+  // No dial storm: a Hello triggers at most one redial, so the survivors'
+  // reconnect count follows the restarted replica's own dials — one per
+  // incarnation — however often it comes back, and a directed blackhole
+  // (frames from replica 2 to replica 0 dropped; Hellos are exempt) adds
+  // none.
+  const consensus::SystemConfig config(3, 1, 1);
+  TempDir tmp;
+  node::ClusterOptions cluster_options = storage_options(tmp);
+  cluster_options.chaos.blackholes = {{2, 0, 0, -1}};
+  node::LocalCluster<rsm::RsmProcess> cluster(
+      config.n,
+      [&](consensus::Env<rsm::Msg>& env, obs::MetricsRegistry& reg, consensus::ProcessId) {
+        return std::make_unique<rsm::RsmProcess>(env, config, rsm_options(reg));
+      },
+      cluster_options);
+  ASSERT_TRUE(cluster.wait_for_mesh());
+  node::ClientSession client(cluster.endpoints()[0], nullptr);
+  ASSERT_TRUE(client.connect());
+
+  constexpr int kRestarts = 4;
+  std::int64_t c = 0;
+  for (int round = 0; round < kRestarts; ++round) {
+    cluster.kill(2);
+    for (const std::int64_t end = c + 5; c < end; ++c) ASSERT_TRUE(client.call(c).has_value());
+    std::this_thread::sleep_for(std::chrono::milliseconds(60 + 40 * round));
+    cluster.restart(2);
+    ASSERT_TRUE(cluster.wait_for_mesh()) << "round " << round;
+  }
+  for (const std::int64_t end = c + 5; c < end; ++c) ASSERT_TRUE(client.call(c).has_value());
+  for (int p = 0; p < 2; ++p) {
+    const auto& stats = cluster.node(p).stats();
+    EXPECT_LE(stats.reconnects.load(), static_cast<std::uint64_t>(kRestarts)) << "p" << p;
+    EXPECT_LE(stats.redials.load(), static_cast<std::uint64_t>(kRestarts)) << "p" << p;
+  }
+  cluster.stop();
+}
+
 TEST(LiveRecovery, ServerDeduplicatesRetriedRequestAcrossReconnects) {
   // Two sessions with the SAME client_id simulate a client that reconnects
   // and retries request id 1: the server must answer from its dedup cache

@@ -195,6 +195,7 @@ struct FrameSink {
   void accept_one() {
     const int cfd = ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (cfd < 0) return;
+    ++accepted;
     conn = std::make_shared<transport::Connection>(loop, cfd, nullptr);
     conn->start([this](Frame&& f) { frames.push_back(std::move(f)); },
                 [this] { closed = true; });
@@ -205,8 +206,28 @@ struct FrameSink {
   int listen_fd = -1;
   std::shared_ptr<transport::Connection> conn;
   std::vector<Frame> frames;  // loop-thread only
+  int accepted = 0;
   bool closed = false;
 };
+
+/// Runs `loop` until `done()` holds (checked every 100 µs from inside the
+/// loop) or `timeout_us` passes; returns whether `done()` held.  Once per
+/// loop: request_stop() is final.
+bool run_until(transport::EventLoop& loop, const std::function<bool()>& done,
+               std::int64_t timeout_us) {
+  const std::int64_t deadline = loop.now_us() + timeout_us;
+  auto check = std::make_shared<std::function<void()>>();
+  *check = [&, check] {
+    if (done() || loop.now_us() >= deadline)
+      loop.request_stop();
+    else
+      loop.schedule_after(100, *check);
+  };
+  loop.post(*check);
+  loop.run();
+  *check = nullptr;  // break the self-referencing capture cycle
+  return done();
+}
 
 TEST(TransportTcp, PeerLinkDeliversHelloThenFrames) {
   transport::EventLoop loop;
@@ -309,6 +330,81 @@ TEST(TransportTcp, AcceptedSocketsDisableNagle) {
   ASSERT_EQ(::getsockopt(sink.conn->fd(), IPPROTO_TCP, TCP_NODELAY, &nodelay, &len), 0);
   EXPECT_EQ(nodelay, 1) << "accepted socket still has Nagle enabled";
   link.shutdown();
+}
+
+TEST(TransportTcp, RedialNowCutsABackoffWaitShort) {
+  // A link whose peer has been down for 450 ms sleeps in a backoff grown
+  // to hundreds of milliseconds.  The peer's return (its Hello, in the
+  // runtime) calls redial_now(): the link must dial at once, not when the
+  // backoff timer would have fired.  The jitter is seeded from (self,
+  // peer), so for (1, 0) the refused dials fall at about 5, 20, 56, 102,
+  // 242 and 437 ms and the next one at 878 ms: at 450 ms it is over
+  // 400 ms away.
+  transport::EventLoop loop;
+  transport::TransportStats stats;
+  transport::Endpoint ep{"127.0.0.1", 0};
+  ::close(transport::bind_listener(ep));  // reserve a port nobody serves
+
+  transport::PeerLink link(loop, /*self=*/1, /*peer=*/0, ep, &stats);
+  link.start();
+  std::unique_ptr<FrameSink> sink;
+  std::int64_t redial_at = -1;
+  loop.schedule_after(450'000, [&] {
+    EXPECT_FALSE(link.connected());
+    sink = std::make_unique<FrameSink>(loop, ep);
+    redial_at = loop.now_us();
+    link.redial_now();
+  });
+  ASSERT_TRUE(run_until(loop, [&] { return sink && sink->conn && link.connected(); }, 3'000'000));
+  EXPECT_LT(loop.now_us() - redial_at, 50'000) << "redial_now() waited out the backoff";
+  EXPECT_EQ(stats.redials.load(), 1u);
+  EXPECT_EQ(sink->accepted, 1);
+  link.shutdown();
+}
+
+TEST(TransportTcp, RedialNowIsANoOpWhenUpMidDialOrShutDown) {
+  transport::EventLoop loop;
+  FrameSink sink(loop);
+  transport::TransportStats stats;
+  transport::PeerLink link(loop, /*self=*/2, /*peer=*/0, sink.ep, &stats);
+
+  link.start();  // the connect is in flight until the loop sees EPOLLOUT
+  link.redial_now();
+  loop.schedule_after(50'000, [&] {
+    EXPECT_TRUE(link.connected());
+    EXPECT_EQ(stats.redials.load(), 0u) << "redial_now() restarted an in-flight dial";
+    link.redial_now();  // up
+  });
+  loop.schedule_after(100'000, [&] {
+    EXPECT_EQ(stats.redials.load(), 0u) << "redial_now() dialled over a live connection";
+    link.shutdown();
+    link.redial_now();  // stopped
+  });
+  bool done = false;
+  loop.schedule_after(150'000, [&] { done = true; });
+  ASSERT_TRUE(run_until(loop, [&] { return done; }, 3'000'000));
+  EXPECT_FALSE(link.connected());
+  EXPECT_EQ(stats.redials.load(), 0u) << "redial_now() revived a shut-down link";
+  EXPECT_EQ(sink.accepted, 1);
+  EXPECT_EQ(stats.reconnects.load(), 0u);
+}
+
+TEST(TransportLoop, ProbeRecordsTimerLateness) {
+  // Every fired timer records (fire time - deadline) into the probe;
+  // cancelled timers record nothing.
+  transport::EventLoop loop;
+  obs::LogHistogram late;
+  loop.set_probe(transport::LoopProbe{.timer_late_us = &late});
+  int fired = 0;
+  for (int i = 0; i < 5; ++i)
+    loop.schedule_after(200 + i, [&] {
+      if (++fired == 5) loop.request_stop();
+    });
+  loop.cancel_timer(loop.schedule_after(100, [] {}));
+  loop.schedule_after(2'000'000, [&] { loop.request_stop(); });  // safety net
+  loop.run();
+  EXPECT_EQ(fired, 5);
+  EXPECT_EQ(late.count(), 5u);
 }
 
 TEST(TransportLoop, CancelledTimersDoNotInflateTheEpollTimeout) {
